@@ -233,6 +233,37 @@ impl SimConfig {
         }
     }
 
+    /// Rejects configurations the engines cannot run (they would panic or
+    /// never advance). Messages name the command-line flag that sets the
+    /// offending field, so the CLIs print them as they are.
+    pub fn validate(&self) -> Result<(), String> {
+        let counts = [
+            ("n_mds (--mds)", self.n_mds as u64),
+            ("n_clients (--clients)", self.n_clients as u64),
+            ("cache_capacity (--cache)", self.cache_capacity as u64),
+            ("journal_capacity", self.journal_capacity as u64),
+            ("n_osds (--osds)", self.n_osds as u64),
+            ("costs.think_mean", self.costs.think_mean.as_micros()),
+            ("heartbeat", self.heartbeat.as_micros()),
+            ("sample_every", self.sample_every.as_micros()),
+        ];
+        if let Some((name, _)) = counts.iter().find(|&&(_, v)| v == 0) {
+            return Err(format!("{name} must be at least 1"));
+        }
+        for ev in &self.faults.events {
+            use crate::fault::FaultEvent::{Crash, Recover};
+            if let Crash { mds, .. } | Recover { mds, .. } = ev {
+                if mds.0 >= self.n_mds {
+                    return Err(format!(
+                        "fault schedule names mds{}, but the cluster has {} nodes",
+                        mds.0, self.n_mds
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Clients per server in this configuration.
     pub fn clients_per_mds(&self) -> f64 {
         self.n_clients as f64 / self.n_mds as f64
@@ -252,6 +283,20 @@ mod tests {
         assert_eq!(c.clients_per_mds(), 12.0);
         let s = SimConfig::small(StrategyKind::FileHash);
         assert!(!s.balancing, "only dynamic subtree rebalances by default");
+    }
+
+    #[test]
+    fn validate_names_the_offending_flag() {
+        assert_eq!(SimConfig::small(StrategyKind::DirHash).validate(), Ok(()));
+        let mut c = SimConfig::small(StrategyKind::DynamicSubtree);
+        c.n_mds = 0;
+        assert!(c.validate().unwrap_err().contains("--mds"));
+        let mut c = SimConfig::small(StrategyKind::DynamicSubtree);
+        c.faults.events.push(crate::fault::FaultEvent::Crash {
+            at: dynmds_event::SimTime::from_secs(1),
+            mds: dynmds_namespace::MdsId(4),
+        });
+        assert!(c.validate().unwrap_err().contains("mds4"));
     }
 
     #[test]

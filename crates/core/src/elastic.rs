@@ -36,11 +36,20 @@ use dynmds_event::SimTime;
 use dynmds_namespace::MdsId;
 
 use crate::cluster::Cluster;
+use crate::config::ElasticConfig;
 
-/// Mutable controller state, one per cluster. Inert (all zeros, all
-/// nodes active) unless [`ElasticConfig::enabled`] is set.
-///
-/// [`ElasticConfig::enabled`]: crate::config::ElasticConfig
+/// A scaling action the policy asks its engine for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Scale {
+    /// Activate a standby node.
+    Out,
+    /// Park a live node.
+    In,
+}
+
+/// Mutable controller state, one per cluster and one per sharded run.
+/// Inert (all zeros, all nodes active) unless [`ElasticConfig::enabled`]
+/// is set.
 #[derive(Clone, Debug)]
 pub struct ElasticState {
     /// Nodes currently parked *by the controller* — disjoint from
@@ -82,6 +91,60 @@ impl ElasticState {
     pub fn provisioned_node_secs(&self) -> f64 {
         self.provisioned_node_us as f64 / 1e6
     }
+
+    /// One heartbeat of the watermark/sustain/cooldown policy, shared by
+    /// both engines. Integrates provisioned node-time under the `live`
+    /// nodes that held since the last tick, then judges `mean_rate` (the
+    /// engine's mean per-live-node load per second; `None` clears the
+    /// streaks) and returns the action the policy wants. The engine picks
+    /// the node and reports a taken action through [`Self::scaled`].
+    pub(crate) fn tick(
+        &mut self,
+        e: &ElasticConfig,
+        now: SimTime,
+        live: usize,
+        mean_rate: Option<f64>,
+    ) -> Option<Scale> {
+        // Membership only changes inside ticks, so this is exact.
+        self.provisioned_node_us +=
+            live as u64 * now.saturating_since(self.last_account).as_micros();
+        self.last_account = self.last_account.max(now);
+        let Some(rate) = mean_rate else {
+            (self.high_streak, self.low_streak) = (0, 0);
+            return None;
+        };
+        if rate > e.high_load_per_s {
+            self.high_streak += 1;
+            self.low_streak = 0;
+        } else if rate < e.low_load_per_s {
+            self.low_streak += 1;
+            self.high_streak = 0;
+        } else {
+            self.high_streak = 0;
+            self.low_streak = 0;
+        }
+        if self.cooldown > 0 {
+            self.cooldown -= 1;
+            return None;
+        }
+        if self.high_streak >= e.sustain {
+            Some(Scale::Out)
+        } else if self.low_streak >= e.sustain && live > e.min_nodes.max(1) as usize {
+            Some(Scale::In)
+        } else {
+            None
+        }
+    }
+
+    /// The engine carried out `action`: its streak restarts and the
+    /// cooldown begins.
+    pub(crate) fn scaled(&mut self, e: &ElasticConfig, action: Scale) {
+        match action {
+            Scale::Out => self.high_streak = 0,
+            Scale::In => self.low_streak = 0,
+        }
+        self.cooldown = e.cooldown_heartbeats;
+    }
 }
 
 impl Cluster {
@@ -114,54 +177,34 @@ impl Cluster {
     /// update, before rebalancing). Accounts provisioned node-time, then
     /// applies the watermark/sustain/cooldown policy.
     pub(crate) fn elastic_tick(&mut self, now: SimTime) {
-        // Accounting first, under the population that held since the last
-        // tick (membership only changes inside ticks, so this is exact).
-        let live = self.live_nodes() as u64;
-        let dt = now.saturating_since(self.elastic.last_account).as_micros();
-        self.elastic.provisioned_node_us += live * dt;
-        self.elastic.last_account = now;
-
-        let hb_secs = self.cfg.heartbeat.as_secs_f64();
-        let mean_rate = self.live_load_mean() / hb_secs;
         let e = self.cfg.elastic;
-        if mean_rate > e.high_load_per_s {
-            self.elastic.high_streak += 1;
-            self.elastic.low_streak = 0;
-        } else if mean_rate < e.low_load_per_s {
-            self.elastic.low_streak += 1;
-            self.elastic.high_streak = 0;
-        } else {
-            self.elastic.high_streak = 0;
-            self.elastic.low_streak = 0;
-        }
-        if self.elastic.cooldown > 0 {
-            self.elastic.cooldown -= 1;
-            return;
-        }
-
-        if self.elastic.high_streak >= e.sustain {
-            // Lowest-indexed standby node; crashed nodes are not eligible
-            // (they come back through recovery, not scaling).
-            let candidate =
-                (0..self.nodes.len()).find(|&i| self.elastic.standby[i] && !self.alive[i]);
-            if let Some(i) = candidate {
-                self.activate_node(now, MdsId(i as u16));
-                self.elastic.high_streak = 0;
-                self.elastic.cooldown = e.cooldown_heartbeats;
+        let mean_rate = self.live_load_mean() / self.cfg.heartbeat.as_secs_f64();
+        match self.elastic.tick(&e, now, self.live_nodes(), Some(mean_rate)) {
+            Some(Scale::Out) => {
+                // Lowest-indexed standby node; crashed nodes are not
+                // eligible (they come back through recovery, not scaling).
+                let candidate =
+                    (0..self.nodes.len()).find(|&i| self.elastic.standby[i] && !self.alive[i]);
+                if let Some(i) = candidate {
+                    self.activate_node(now, MdsId(i as u16));
+                    self.elastic.scaled(&e, Scale::Out);
+                }
             }
-        } else if self.elastic.low_streak >= e.sustain
-            && self.live_nodes() > (e.min_nodes.max(1) as usize)
-        {
-            // Least-loaded live node departs; index breaks ties.
-            let victim = (0..self.nodes.len())
-                .filter(|&i| self.alive[i])
-                .min_by(|&a, &b| {
-                    self.hb_ewma[a].partial_cmp(&self.hb_ewma[b]).expect("finite").then(a.cmp(&b))
-                })
-                .expect("live nodes exist");
-            self.deactivate_node(now, MdsId(victim as u16));
-            self.elastic.low_streak = 0;
-            self.elastic.cooldown = e.cooldown_heartbeats;
+            Some(Scale::In) => {
+                // Least-loaded live node departs; index breaks ties.
+                let victim = (0..self.nodes.len())
+                    .filter(|&i| self.alive[i])
+                    .min_by(|&a, &b| {
+                        self.hb_ewma[a]
+                            .partial_cmp(&self.hb_ewma[b])
+                            .expect("finite")
+                            .then(a.cmp(&b))
+                    })
+                    .expect("live nodes exist");
+                self.deactivate_node(now, MdsId(victim as u16));
+                self.elastic.scaled(&e, Scale::In);
+            }
+            None => {}
         }
     }
 

@@ -49,6 +49,7 @@ pub use failover::FAILOVER_TIMEOUT;
 pub use check::{AppliedOp, DstProbe, DstRecord};
 pub use cluster::{Cluster, MigrationRecord};
 pub use config::{CostModel, ElasticConfig, SimConfig};
+pub use dynmds_obs::ObsConfig;
 pub use elastic::ElasticState;
 pub use fault::{ChurnSpec, DiskScope, FaultEvent, FaultSchedule, NetFaultSpec, RetryPolicy};
 pub use obs::{ClusterObs, ObsExport};

@@ -52,10 +52,12 @@ use dynmds_event::{EventQueue, SimDuration, SimRng, SimTime};
 use dynmds_namespace::{ClientId, FxHashMap, FxHashSet, InodeId, MdsId, Snapshot};
 use dynmds_obs::{Registry, SnapshotSeries};
 use dynmds_partition::{Partition, StrategyKind};
+use dynmds_proxy::{ProxyCore, ProxyStats};
 use dynmds_storage::{AccessKind, DiskFault, DiskModel};
 use dynmds_workload::Workload;
 
 use crate::config::SimConfig;
+use crate::elastic::{ElasticState, Scale};
 use crate::fault::{DiskScope, FaultEvent, NetFaultSpec, RetryPolicy};
 use crate::node::MdsNode;
 use crate::report::NodeSnapshot;
@@ -300,31 +302,15 @@ struct ShardNode {
     proxy_hot_pending: Vec<InodeId>,
 }
 
-/// One hotspot proxy as owned by a shard (sharded-engine counterpart of
-/// [`dynmds_proxy::ProxyCore`], reduced to the frozen-namespace op model:
-/// no names, so no negative-lookup cache — reads absorb through the
-/// read-through set, writes coalesce into per-item deltas).
-#[derive(Debug, Default)]
+/// One hotspot proxy as owned by a shard: the engine-agnostic
+/// [`ProxyCore`] (the frozen-namespace op model uses only its read-through
+/// set and write coalescer) plus the shard's transport state.
+#[derive(Debug)]
 struct ProxySt {
-    /// Items read through to the authority at least once.
-    cached: FxHashSet<InodeId>,
-    /// Coalesced write deltas awaiting the heartbeat flush.
-    pending: FxHashMap<InodeId, u64>,
+    core: ProxyCore,
     /// Serial-CPU availability, µs.
     free_at: u64,
     send_seq: u64,
-    stats: ProxyShardStats,
-}
-
-/// Commutative proxy counters, aggregated into the report in proxy id
-/// order.
-#[derive(Clone, Copy, Debug, Default)]
-struct ProxyShardStats {
-    absorbed: u64,
-    coalesced: u64,
-    forwarded: u64,
-    flushes: u64,
-    flushed_items: u64,
 }
 
 /// One client as owned by a shard.
@@ -887,15 +873,14 @@ impl Shard {
             Relay,
         }
         let action = if write {
-            *px.pending.entry(item).or_insert(0) += 1;
-            px.stats.coalesced += 1;
+            px.core.absorb_write(item);
             Action::Ack
-        } else if px.cached.contains(&item) && !px.pending.contains_key(&item) {
-            px.stats.absorbed += 1;
+        } else if px.core.is_cached(item) && !px.core.has_pending(item) {
+            px.core.stats.read_absorbs += 1;
             Action::Ack
         } else {
-            px.stats.forwarded += 1;
-            px.cached.insert(item);
+            px.core.stats.forwarded += 1;
+            px.core.note_cached(item);
             Action::Relay
         };
         let seq = px.send_seq;
@@ -968,47 +953,6 @@ enum Step {
     Net(Option<NetFaultSpec>),
 }
 
-/// Barrier-side elastic autoscaling state (ROADMAP item 3), the sharded
-/// counterpart of [`crate::ElasticState`]. All mutations happen at
-/// window barriers in global node order and draw nothing from any RNG,
-/// so elastic runs keep the shard-count-invariance argument intact. The
-/// sharded model simplifies the legacy mechanics in two documented ways:
-/// scale-in hands off delegations and reroutes clients but approximates
-/// the cache handoff (the heirs re-fetch on first touch), and scale-out
-/// hands back the trees the node parked with instead of replaying its
-/// journal.
-struct ElasticCtl {
-    /// Nodes parked by the controller — disjoint from crashed nodes.
-    standby: Vec<bool>,
-    /// Delegations each node held when it was parked; handed back on its
-    /// next activation so a returning node is immediately useful.
-    parked_roots: Vec<Vec<InodeId>>,
-    high_streak: u32,
-    low_streak: u32,
-    cooldown: u32,
-    scale_outs: u64,
-    scale_ins: u64,
-    /// Provisioned node-microseconds, integrated at heartbeat ticks.
-    node_us: u64,
-    last_account: u64,
-}
-
-impl ElasticCtl {
-    fn new(n: usize) -> Self {
-        ElasticCtl {
-            standby: vec![false; n],
-            parked_roots: vec![Vec::new(); n],
-            high_streak: 0,
-            low_streak: 0,
-            cooldown: 0,
-            scale_outs: 0,
-            scale_ins: 0,
-            node_us: 0,
-            last_account: 0,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // the sharded simulation
 // ---------------------------------------------------------------------
@@ -1037,7 +981,19 @@ pub struct ShardedSimulation {
     merge_scratch: Vec<(u64, usize, Ev)>,
     measure_start: u64,
     migrations: u64,
-    elastic: ElasticCtl,
+    /// Elastic autoscaling state (ROADMAP item 3), shared in type and
+    /// policy with the legacy engine. All mutations happen at window
+    /// barriers in global node order and draw nothing from any RNG, so
+    /// elastic runs keep the shard-count-invariance argument intact. The
+    /// sharded model simplifies the legacy mechanics in two documented
+    /// ways: scale-in hands off delegations and reroutes clients but
+    /// approximates the cache handoff (the heirs re-fetch on first
+    /// touch), and scale-out hands back the trees the node parked with
+    /// instead of replaying its journal.
+    elastic: ElasticState,
+    /// Delegations each node held when it was parked; handed back on its
+    /// next activation so a returning node is immediately useful.
+    parked_roots: Vec<Vec<InodeId>>,
     snapshots: Option<SnapshotSeries>,
 }
 
@@ -1131,7 +1087,7 @@ impl ShardedSimulation {
                 .unwrap_or(n_proxies) as u16;
             let proxies: Vec<ProxySt> = (0..n_proxies)
                 .filter(|&p| shard_of_proxy(p, n_proxies, k) == s)
-                .map(|_| ProxySt::default())
+                .map(|_| ProxySt { core: ProxyCore::new(&cfg.proxy), free_at: 0, send_seq: 0 })
                 .collect();
             shard_vec.push(Shard {
                 queue,
@@ -1203,7 +1159,8 @@ impl ShardedSimulation {
             merge_scratch: Vec::new(),
             measure_start: 0,
             migrations: 0,
-            elastic: ElasticCtl::new(n_mds),
+            elastic: ElasticState::new(n_mds),
+            parked_roots: vec![Vec::new(); n_mds],
             snapshots,
             cfg,
         };
@@ -1234,7 +1191,7 @@ impl ShardedSimulation {
                     }
                 }
             }
-            self.elastic.parked_roots[parked] = roots;
+            self.parked_roots[parked] = roots;
             self.elastic.standby[parked] = true;
             self.world.alive[parked] = false;
             self.world.members[parked] = false;
@@ -1550,18 +1507,8 @@ impl ShardedSimulation {
         let hop = self.window_us;
         for s in 0..k {
             for i in 0..self.shards[s].proxies.len() {
-                let mut drained: Vec<(InodeId, u64)> =
-                    self.shards[s].proxies[i].pending.drain().collect();
-                if drained.is_empty() {
-                    continue;
-                }
-                drained.sort();
+                let drained = self.shards[s].proxies[i].core.drain_pending();
                 let p = self.shards[s].proxy_lo + i as u16;
-                {
-                    let px = &mut self.shards[s].proxies[i];
-                    px.stats.flushes += 1;
-                    px.stats.flushed_items += drained.len() as u64;
-                }
                 for (item, delta) in drained {
                     let auth = self.shards[s].partition.authority(&self.world.snapshot.ns, item);
                     let Some(auth) = self.live_ring(auth) else { continue };
@@ -1588,59 +1535,39 @@ impl ShardedSimulation {
         (0..n).map(|d| (m.index() + d) % n).find(|&i| self.world.alive[i]).map(|i| MdsId(i as u16))
     }
 
-    /// One elastic controller step (mirrors the legacy
-    /// [`Cluster::elastic_tick`](crate::Cluster)): account provisioned
-    /// node-time under the population that held since the last tick, then
-    /// apply the watermark/sustain/cooldown policy to the mean per-second
+    /// One elastic controller step: the policy shared with the legacy
+    /// [`Cluster::elastic_tick`](crate::Cluster), fed the mean per-second
     /// load of the live nodes.
     fn elastic_tick(&mut self, at: u64, loads: &[f64]) {
         let n_mds = self.cfg.n_mds as usize;
-        let live: Vec<usize> = (0..n_mds).filter(|&m| self.world.alive[m]).collect();
-        self.elastic.node_us += live.len() as u64 * at.saturating_sub(self.elastic.last_account);
-        self.elastic.last_account = self.elastic.last_account.max(at);
-        if live.is_empty() {
-            self.elastic.high_streak = 0;
-            self.elastic.low_streak = 0;
-            return;
-        }
-
-        let hb_secs = self.cfg.heartbeat.as_secs_f64();
-        let mean_rate = live.iter().map(|&m| loads[m]).sum::<f64>() / live.len() as f64 / hb_secs;
         let e = self.cfg.elastic;
-        if mean_rate > e.high_load_per_s {
-            self.elastic.high_streak += 1;
-            self.elastic.low_streak = 0;
-        } else if mean_rate < e.low_load_per_s {
-            self.elastic.low_streak += 1;
-            self.elastic.high_streak = 0;
-        } else {
-            self.elastic.high_streak = 0;
-            self.elastic.low_streak = 0;
-        }
-        if self.elastic.cooldown > 0 {
-            self.elastic.cooldown -= 1;
-            return;
-        }
-
-        if self.elastic.high_streak >= e.sustain {
-            // Lowest-indexed standby node; crashed nodes are not eligible
-            // (they come back through recovery, not scaling).
-            let candidate = (0..n_mds).find(|&i| self.elastic.standby[i] && !self.world.alive[i]);
-            if let Some(i) = candidate {
-                self.elastic_activate(MdsId(i as u16));
-                self.elastic.high_streak = 0;
-                self.elastic.cooldown = e.cooldown_heartbeats;
+        let live: Vec<usize> = (0..n_mds).filter(|&m| self.world.alive[m]).collect();
+        let hb_secs = self.cfg.heartbeat.as_secs_f64();
+        let mean_rate = (!live.is_empty())
+            .then(|| live.iter().map(|&m| loads[m]).sum::<f64>() / live.len() as f64 / hb_secs);
+        match self.elastic.tick(&e, SimTime::from_micros(at), live.len(), mean_rate) {
+            Some(Scale::Out) => {
+                // Lowest-indexed standby node; crashed nodes are not
+                // eligible (they come back through recovery, not scaling).
+                let candidate =
+                    (0..n_mds).find(|&i| self.elastic.standby[i] && !self.world.alive[i]);
+                if let Some(i) = candidate {
+                    self.elastic_activate(MdsId(i as u16));
+                    self.elastic.scaled(&e, Scale::Out);
+                }
             }
-        } else if self.elastic.low_streak >= e.sustain && live.len() > (e.min_nodes.max(1) as usize)
-        {
-            // Least-loaded live node departs; index breaks ties.
-            let victim = *live
-                .iter()
-                .min_by(|&&a, &&b| loads[a].partial_cmp(&loads[b]).expect("finite").then(a.cmp(&b)))
-                .expect("live nodes exist");
-            self.elastic_park(MdsId(victim as u16), loads);
-            self.elastic.low_streak = 0;
-            self.elastic.cooldown = e.cooldown_heartbeats;
+            Some(Scale::In) => {
+                // Least-loaded live node departs; index breaks ties.
+                let victim = *live
+                    .iter()
+                    .min_by(|&&a, &&b| {
+                        loads[a].partial_cmp(&loads[b]).expect("finite").then(a.cmp(&b))
+                    })
+                    .expect("live nodes exist");
+                self.elastic_park(MdsId(victim as u16), loads);
+                self.elastic.scaled(&e, Scale::In);
+            }
+            None => {}
         }
     }
 
@@ -1654,7 +1581,7 @@ impl ShardedSimulation {
         self.world.members[m.index()] = true;
         self.elastic.standby[m.index()] = false;
         self.elastic.scale_outs += 1;
-        let roots = std::mem::take(&mut self.elastic.parked_roots[m.index()]);
+        let roots = std::mem::take(&mut self.parked_roots[m.index()]);
         if roots.is_empty() {
             return;
         }
@@ -1723,7 +1650,7 @@ impl ShardedSimulation {
             }
         }
         // Park: drop membership and RAM only after the handoff.
-        self.elastic.parked_roots[victim.index()] = roots;
+        self.parked_roots[victim.index()] = roots;
         self.elastic.standby[victim.index()] = true;
         self.elastic.scale_ins += 1;
         self.world.alive[victim.index()] = false;
@@ -1767,7 +1694,7 @@ impl ShardedSimulation {
             shard.stats = ShardStats::default();
             shard.lat = LatencyAgg::new();
             for px in &mut shard.proxies {
-                px.stats = ProxyShardStats::default();
+                px.core.stats = ProxyStats::default();
             }
             for n in &mut shard.nodes {
                 n.m.cache.reset_stats();
@@ -1778,8 +1705,8 @@ impl ShardedSimulation {
             }
         }
         self.migrations = 0;
-        self.elastic.node_us = 0;
-        self.elastic.last_account = self.now_us;
+        self.elastic.provisioned_node_us = 0;
+        self.elastic.last_account = SimTime::from_micros(self.now_us);
         if let Some(s) = self.snapshots.as_mut() {
             s.reset();
         }
@@ -1806,7 +1733,7 @@ impl ShardedSimulation {
     pub fn finish(self) -> ShardReport {
         let mut stats = ShardStats::default();
         let mut lat = LatencyAgg::new();
-        let mut ptotals = ProxyShardStats::default();
+        let mut ptotals = ProxyStats::default();
         let mut nodes = Vec::with_capacity(self.cfg.n_mds as usize);
         for shard in &self.shards {
             stats.ops += shard.stats.ops;
@@ -1817,11 +1744,12 @@ impl ShardedSimulation {
             stats.stale += shard.stats.stale;
             lat.merge(&shard.lat);
             for px in &shard.proxies {
-                ptotals.absorbed += px.stats.absorbed;
-                ptotals.coalesced += px.stats.coalesced;
-                ptotals.forwarded += px.stats.forwarded;
-                ptotals.flushes += px.stats.flushes;
-                ptotals.flushed_items += px.stats.flushed_items;
+                let ps = &px.core.stats;
+                ptotals.read_absorbs += ps.read_absorbs;
+                ptotals.writes_coalesced += ps.writes_coalesced;
+                ptotals.forwarded += ps.forwarded;
+                ptotals.flush_batches += ps.flush_batches;
+                ptotals.flushed_items += ps.flushed_items;
             }
             for n in &shard.nodes {
                 let cs = n.m.cache.stats();
@@ -1842,7 +1770,8 @@ impl ShardedSimulation {
         // everything else.
         let provisioned_node_us = if self.cfg.elastic.enabled {
             let live = self.world.alive.iter().filter(|a| **a).count() as u64;
-            self.elastic.node_us + live * self.now_us.saturating_sub(self.elastic.last_account)
+            let open = self.now_us.saturating_sub(self.elastic.last_account.as_micros());
+            self.elastic.provisioned_node_us + live * open
         } else {
             self.cfg.n_mds as u64 * (self.now_us - self.measure_start)
         };
@@ -1863,11 +1792,11 @@ impl ShardedSimulation {
             n_mds: self.cfg.n_mds,
             shards: self.shards.len(),
             proxies: self.cfg.proxy.count,
-            proxy_absorbed: ptotals.absorbed,
-            proxy_coalesced: ptotals.coalesced,
+            proxy_absorbed: ptotals.read_absorbs,
+            proxy_coalesced: ptotals.writes_coalesced,
             proxy_forwarded: ptotals.forwarded,
             proxy_flushed_items: ptotals.flushed_items,
-            proxy_flushes: ptotals.flushes,
+            proxy_flushes: ptotals.flush_batches,
             measure_start: SimTime::from_micros(self.measure_start),
             measure_end: SimTime::from_micros(self.now_us),
             nodes,
@@ -2057,7 +1986,7 @@ fn build_obs(
     nodes: &[NodeSnapshot],
     migrations: u64,
     (scale_outs, scale_ins): (u64, u64),
-    ptotals: &ProxyShardStats,
+    ptotals: &ProxyStats,
     snapshots: Option<&SnapshotSeries>,
 ) -> crate::obs::ObsExport {
     let n_mds = cfg.n_mds as usize;
@@ -2104,11 +2033,11 @@ fn build_obs(
         let pf = reg.counter("proxy.forwarded", 1);
         let pfi = reg.counter("proxy.flushed_items", 1);
         let pfb = reg.counter("proxy.flushes", 1);
-        reg.add(pa, 0, ptotals.absorbed);
-        reg.add(pc, 0, ptotals.coalesced);
+        reg.add(pa, 0, ptotals.read_absorbs);
+        reg.add(pc, 0, ptotals.writes_coalesced);
         reg.add(pf, 0, ptotals.forwarded);
         reg.add(pfi, 0, ptotals.flushed_items);
-        reg.add(pfb, 0, ptotals.flushes);
+        reg.add(pfb, 0, ptotals.flush_batches);
     }
     let snapshots_jsonl = snapshots.map(|s| s.to_jsonl()).unwrap_or_default();
     let summary = format!(

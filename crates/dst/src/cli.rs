@@ -18,6 +18,7 @@
 use std::io::Write as _;
 
 use dynmds_event::SimDuration;
+use dynmds_harness::cli::{exit_usage, Flags, Shared};
 use dynmds_harness::parallel::parallel_map_threads;
 use dynmds_partition::StrategyKind;
 
@@ -25,28 +26,23 @@ use crate::repro::Repro;
 use crate::scenario::{run_scenario, Scenario};
 use crate::shrink::shrink;
 
+/// The shared flags `torture` accepts (see `dynmds_harness::cli`).
+const SHARED: &[&str] = &["--strategy", "--threads", "--proxy", "--force-dense"];
+
 struct TortureArgs {
     seeds: u64,
     seed_base: u64,
     ops: u64,
     out_dir: String,
-    strategies: Vec<StrategyKind>,
     shrink_budget: u64,
     repeat_check: bool,
-    /// Worker-thread override; `None` defers to `DYNMDS_THREADS` or
-    /// detected parallelism. Reports are byte-identical either way.
-    threads: Option<usize>,
-    /// When > 0, additionally run every scenario through the sharded
-    /// engine at 1 shard and at `shards` shards and require byte-equal
-    /// reports; a mismatch counts as a failure.
-    shards: usize,
-    /// Proxy-count override: force every scenario to run with exactly
-    /// this many hotspot proxies instead of the seeded draw (0 forces
-    /// the tier off everywhere).
-    proxy: Option<u16>,
-    /// Override the seeded skip-on/off draw: run every scenario's
-    /// sharded cross-check densely (execute every conservative window).
-    force_dense: bool,
+    /// `--strategy` (default: every paper strategy). `--threads` is the
+    /// worker count (reports are byte-identical at any count). `--shards
+    /// K` additionally runs every scenario through the sharded engine at
+    /// 1 and K shards and requires byte-equal reports. `--proxy P` forces
+    /// P hotspot proxies on every scenario (0 forces the tier off), and
+    /// `--force-dense` makes every sharded cross-check execute each window.
+    sh: Shared,
 }
 
 fn parse_args(args: &[String]) -> Result<TortureArgs, String> {
@@ -55,67 +51,23 @@ fn parse_args(args: &[String]) -> Result<TortureArgs, String> {
         seed_base: 1,
         ops: 2_000,
         out_dir: "dst/repros".to_string(),
-        strategies: StrategyKind::ALL.to_vec(),
         shrink_budget: 250,
         repeat_check: true,
-        threads: None,
-        shards: 0,
-        proxy: None,
-        force_dense: false,
+        sh: Shared::default(),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut val = |what: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{what} needs a value"))
-        };
-        match arg.as_str() {
-            "--seeds" => {
-                out.seeds = val("--seeds")?.parse().map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--seed-base" => {
-                out.seed_base =
-                    val("--seed-base")?.parse().map_err(|e| format!("--seed-base: {e}"))?
-            }
-            "--ops" => out.ops = val("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--out" => out.out_dir = val("--out")?.clone(),
-            "--shrink-budget" => {
-                out.shrink_budget =
-                    val("--shrink-budget")?.parse().map_err(|e| format!("--shrink-budget: {e}"))?
-            }
+    let mut f = Flags::new(args.iter().cloned());
+    while let Some(flag) = f.next_flag() {
+        match flag.as_str() {
+            "--seeds" => out.seeds = f.positive()?,
+            "--seed-base" => out.seed_base = f.value()?,
+            "--ops" => out.ops = f.value()?,
+            "--out" => out.out_dir = f.text()?,
+            "--shrink-budget" => out.shrink_budget = f.value()?,
             "--no-repeat-check" => out.repeat_check = false,
-            "--threads" => {
-                let t: usize = val("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-                if t == 0 {
-                    return Err("--threads must be positive".into());
-                }
-                out.threads = Some(t);
-            }
-            "--shards" => {
-                let k: usize = val("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if k == 0 {
-                    return Err("--shards must be positive".into());
-                }
-                out.shards = k;
-            }
-            "--proxy" => {
-                out.proxy = Some(val("--proxy")?.parse().map_err(|e| format!("--proxy: {e}"))?)
-            }
-            "--force-dense" => out.force_dense = true,
-            "--strategy" => {
-                let v = val("--strategy")?;
-                if v != "all" {
-                    let s = StrategyKind::ALL
-                        .into_iter()
-                        .find(|s| s.label().eq_ignore_ascii_case(v))
-                        .ok_or_else(|| format!("unknown strategy `{v}`"))?;
-                    out.strategies = vec![s];
-                }
-            }
-            other => return Err(format!("unknown torture flag `{other}`")),
+            "--shards" => out.sh.shards = Some(f.positive()?),
+            _ if out.sh.read(&flag, SHARED, &mut f)? => {}
+            _ => return f.err("unknown torture flag"),
         }
-    }
-    if out.seeds == 0 {
-        return Err("--seeds must be positive".into());
     }
     Ok(out)
 }
@@ -196,56 +148,53 @@ fn run_one(sc: &Scenario, shrink_budget: u64, shards: usize) -> ScenarioResult {
     }
 }
 
-/// Entry point for `experiments torture`. Returns the process exit code.
+/// Entry point for `experiments torture`. Returns the process exit code;
+/// a usage error exits the process with code 2.
 pub fn run_torture(args: &[String]) -> i32 {
-    let args = match parse_args(args) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("torture: {e}");
-            return 2;
-        }
-    };
+    let args = parse_args(args).unwrap_or_else(|e| exit_usage("torture", &e));
+    let strategies = args.sh.strategies.clone().unwrap_or_else(|| StrategyKind::ALL.to_vec());
+    let shards = args.sh.shards.unwrap_or(0);
 
     let scenarios: Vec<Scenario> = (0..args.seeds)
         .flat_map(|i| {
-            let seed = args.seed_base + i;
-            args.strategies.iter().map(move |&s| {
+            let seed = args.seed_base.wrapping_add(i);
+            strategies.iter().map(move |&s| {
                 let mut sc = Scenario::from_seed(seed, s, args.ops);
-                if let Some(p) = args.proxy {
-                    sc.n_proxies = p;
-                }
-                if args.force_dense {
-                    sc.force_dense = true;
-                }
+                sc.n_proxies = args.sh.proxy.unwrap_or(sc.n_proxies);
+                sc.force_dense |= args.sh.force_dense;
                 sc
             })
         })
         .collect();
+    // Seeded scenarios are valid by construction; this checks the overrides.
+    if let Some(e) = scenarios.iter().find_map(|sc| sc.config().validate().err()) {
+        exit_usage("torture", &e);
+    }
 
     println!(
         "torture: {} scenarios ({} seeds x {} strategies), target {} ops each",
         scenarios.len(),
         args.seeds,
-        args.strategies.len(),
+        strategies.len(),
         args.ops
     );
 
     // Publish `--threads` process-wide so nested pool fan-outs (shard
     // stepping inside the cross-check, any later sub-run in this
     // process) honor it too, not just the top-level map below.
-    dynmds_harness::parallel::set_thread_override(args.threads);
+    dynmds_harness::parallel::set_thread_override(args.sh.threads);
 
-    if args.shards > 0 {
+    if shards > 0 {
         dynmds_harness::parallel::install_shard_driver();
-        println!("torture: sharded cross-check on ({} shards vs 1)", args.shards);
+        println!("torture: sharded cross-check on ({shards} shards vs 1)");
     }
 
-    let results = parallel_map_threads(&scenarios, args.threads, |sc| {
-        run_one(sc, args.shrink_budget, args.shards)
+    let results = parallel_map_threads(&scenarios, args.sh.threads, |sc| {
+        run_one(sc, args.shrink_budget, shards)
     });
 
     let mut failures = 0u64;
-    for s in &args.strategies {
+    for s in &strategies {
         let (mut runs, mut ops, mut cps, mut diverged) = (0u64, 0u64, 0u64, 0u64);
         let mut shard_mismatches = 0u64;
         let mut digest = 0u64;
@@ -257,7 +206,7 @@ pub fn run_torture(args: &[String]) -> i32 {
             shard_mismatches += u64::from(r.shard_mismatch.is_some());
             digest = digest.wrapping_mul(0x100_0000_01b3) ^ r.digest;
         }
-        let shard_note = if args.shards > 0 {
+        let shard_note = if shards > 0 {
             format!(", {shard_mismatches} shard mismatches")
         } else {
             String::new()

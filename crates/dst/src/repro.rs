@@ -14,7 +14,6 @@
 use dynmds_core::{DiskScope, FaultEvent, FaultSchedule, NetFaultSpec};
 use dynmds_event::{SimDuration, SimTime};
 use dynmds_namespace::MdsId;
-use dynmds_partition::StrategyKind;
 use dynmds_storage::DiskFault;
 use dynmds_workload::{Trace, TraceOp, TraceRecord};
 
@@ -253,13 +252,6 @@ impl Repro {
     }
 }
 
-fn parse_strategy(label: &str) -> Result<StrategyKind, String> {
-    StrategyKind::ALL
-        .into_iter()
-        .find(|s| s.label() == label)
-        .ok_or_else(|| format!("unknown strategy `{label}`"))
-}
-
 fn parse_scenario(kv: &std::collections::HashMap<String, String>) -> Result<Scenario, String> {
     fn get<'a>(
         kv: &'a std::collections::HashMap<String, String>,
@@ -293,7 +285,7 @@ fn parse_scenario(kv: &std::collections::HashMap<String, String>) -> Result<Scen
     }
     Ok(Scenario {
         seed: num(kv, "seed")?,
-        strategy: parse_strategy(get(kv, "strategy")?)?,
+        strategy: get(kv, "strategy")?.parse()?,
         n_mds: num(kv, "n_mds")?,
         n_clients: num(kv, "n_clients")?,
         target_items: num(kv, "target_items")?,
@@ -406,6 +398,7 @@ fn parse_op<'a, I: Iterator<Item = &'a str>>(words: &mut I) -> Result<TraceRecor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynmds_partition::StrategyKind;
 
     fn sample() -> Repro {
         let mut sc = Scenario::from_seed(9, StrategyKind::DynamicSubtree, 400);

@@ -17,6 +17,7 @@
 
 pub mod ablation;
 pub mod availability;
+pub mod cli;
 pub mod elasticrun;
 pub mod flashrun;
 pub mod hitrate;

@@ -111,6 +111,30 @@ impl ScaleParams {
         }
     }
 
+    /// Rejects sizings the scale run cannot execute; checked once where
+    /// `experiments scale` turns its flags into a run. Messages name the
+    /// flag that sets the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        let counts = [
+            ("ring (--ring)", self.ring as u64),
+            ("users (--users)", self.users as u64),
+            ("materialize_users (--materialize)", self.materialize_users as u64),
+            ("think_mean (--think-us)", self.think_mean.as_micros()),
+            ("strategies (--strategy)", self.strategies.len() as u64),
+            ("threads (--threads)", self.threads.map_or(1, |t| t as u64)),
+        ];
+        if let Some((name, _)) = counts.iter().find(|&&(_, v)| v == 0) {
+            return Err(format!("{name} must be at least 1"));
+        }
+        if self.materialize_users > self.users {
+            return Err(format!(
+                "--materialize {} exceeds --users {}",
+                self.materialize_users, self.users
+            ));
+        }
+        self.strategies.iter().try_for_each(|&s| scale_config(self, s).validate())
+    }
+
     /// The namespace spec all strategies share.
     pub fn spec(&self) -> NamespaceSpec {
         NamespaceSpec::with_target_items(self.users, self.target_items, self.seed ^ 0xF5)
@@ -321,6 +345,23 @@ mod tests {
         // fixed interner/hash-map overheads amortize; a ~500-inode toy
         // run just has to stay in the same ballpark.
         assert!(pt.bytes_per_inode() < 80.0, "footprint {:.1} B/inode", pt.bytes_per_inode());
+    }
+
+    #[test]
+    fn validate_rejects_the_shapes_that_used_to_panic() {
+        assert_eq!(tiny().validate(), Ok(()));
+        let bad: [fn(&mut ScaleParams); 5] = [
+            |p| p.clients = 0,
+            |p| p.ring = 0,
+            |p| p.n_mds = 0,
+            |p| p.materialize_users = p.users + 1,
+            |p| p.think_mean = SimDuration::ZERO,
+        ];
+        for (i, edit) in bad.into_iter().enumerate() {
+            let mut p = tiny();
+            edit(&mut p);
+            assert!(p.validate().is_err(), "case {i} passed validation");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Strategy taxonomy shared by the simulator and the experiment harness.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// The five strategies compared in the paper's evaluation, plus the
 /// elastic extension (ROADMAP item 3).
@@ -95,6 +96,30 @@ impl fmt::Display for StrategyKind {
     }
 }
 
+/// The one string → strategy parser: every [`label`](StrategyKind::label)
+/// and the short aliases `static|dynamic|dirhash|filehash|lazyhybrid|elastic`,
+/// all case-insensitive. `all` is not a strategy; callers that sweep
+/// handle it themselves.
+impl FromStr for StrategyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        const ALIASES: [(&str, StrategyKind); 6] = [
+            ("static", StrategyKind::StaticSubtree),
+            ("dynamic", StrategyKind::DynamicSubtree),
+            ("dirhash", StrategyKind::DirHash),
+            ("filehash", StrategyKind::FileHash),
+            ("lazyhybrid", StrategyKind::LazyHybrid),
+            ("elastic", StrategyKind::ElasticSubtree),
+        ];
+        ALIASES
+            .into_iter()
+            .find(|(alias, k)| s.eq_ignore_ascii_case(alias) || s.eq_ignore_ascii_case(k.label()))
+            .map(|(_, k)| k)
+            .ok_or_else(|| format!("unknown strategy `{s}`"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +170,17 @@ mod tests {
     #[test]
     fn display_matches_label() {
         assert_eq!(StrategyKind::DynamicSubtree.to_string(), "DynamicSubtree");
+    }
+
+    #[test]
+    fn parses_labels_and_aliases_in_any_case() {
+        for k in StrategyKind::ALL.into_iter().chain([StrategyKind::ElasticSubtree]) {
+            assert_eq!(k.label().parse(), Ok(k));
+            assert_eq!(k.label().to_ascii_lowercase().parse(), Ok(k));
+        }
+        assert_eq!("dynamic".parse(), Ok(StrategyKind::DynamicSubtree));
+        assert_eq!("Elastic".parse(), Ok(StrategyKind::ElasticSubtree));
+        assert!("all".parse::<StrategyKind>().is_err(), "`all` is a caller-level word");
+        assert!("Bogus".parse::<StrategyKind>().is_err());
     }
 }
