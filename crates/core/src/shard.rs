@@ -69,9 +69,9 @@ use crate::report::NodeSnapshot;
 /// Parallel fan-out driver: must invoke `body(i)` exactly once for every
 /// `i < n` (concurrently is fine), honoring the `threads` override the
 /// way the harness worker policy does. Installed once by the harness so
-/// the shard loop shares its scoped worker pool; without one, shards run
-/// serially in id order (identical results — the driver only changes
-/// wall-clock).
+/// the shard loop shares its scoped worker pool; without one, and for
+/// windows too small to pay for the hand-off, shards run serially in id
+/// order (identical results — the driver only changes wall-clock).
 pub type ParallelDriver = fn(usize, Option<usize>, &(dyn Fn(usize) + Sync));
 
 static DRIVER: OnceLock<ParallelDriver> = OnceLock::new();
@@ -82,18 +82,35 @@ pub fn install_parallel_driver(driver: ParallelDriver) {
     let _ = DRIVER.set(driver);
 }
 
-/// Runs `f` once per shard, in parallel when a driver is installed.
-/// Claim flags turn a misbehaving driver (double dispatch) into a panic
-/// instead of two `&mut` aliases.
-fn for_each_shard(shards: &mut [Shard], threads: Option<usize>, f: impl Fn(&mut Shard) + Sync) {
-    if shards.len() == 1 {
-        return f(&mut shards[0]);
-    }
-    let Some(driver) = DRIVER.get() else {
-        for s in shards.iter_mut() {
-            f(s);
+/// Fewest events the previous window must have popped (summed over
+/// shards) for the coming window to go through the installed driver.
+/// Smaller windows run inline on the calling thread, because handing a
+/// window to pool workers costs microseconds of wake-up and barrier
+/// traffic, more than a handful of events takes to process. Set by a
+/// sweep over 16–256 events (DESIGN.md §11, "Adaptive fan-out").
+const FANOUT_MIN_EVENTS: u64 = 32;
+
+/// Runs `f` once per shard: in parallel through the installed driver
+/// when `fan_out` is set, otherwise serially in shard-id order on the
+/// calling thread (identical results — the choice only changes which
+/// thread runs a shard). `claims` holds one flag per shard, all clear on
+/// entry and on return; they turn a misbehaving driver (double dispatch)
+/// into a panic instead of two `&mut` aliases.
+fn for_each_shard(
+    shards: &mut [Shard],
+    claims: &[AtomicBool],
+    threads: Option<usize>,
+    fan_out: bool,
+    f: impl Fn(&mut Shard) + Sync,
+) {
+    let driver = match DRIVER.get() {
+        Some(driver) if fan_out && shards.len() > 1 => driver,
+        _ => {
+            for s in shards.iter_mut() {
+                f(s);
+            }
+            return;
         }
-        return;
     };
     struct Base(*mut Shard);
     unsafe impl Sync for Base {}
@@ -102,14 +119,13 @@ fn for_each_shard(shards: &mut [Shard], threads: Option<usize>, f: impl Fn(&mut 
             unsafe { self.0.add(i) }
         }
     }
-    let claims: Vec<AtomicBool> = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
     let base = Base(shards.as_mut_ptr());
     driver(shards.len(), threads, &|i| {
         assert!(!claims[i].swap(true, Ordering::AcqRel), "driver dispatched shard {i} twice");
         f(unsafe { &mut *base.at(i) });
     });
     for (i, c) in claims.iter().enumerate() {
-        assert!(c.load(Ordering::Acquire), "driver never dispatched shard {i}");
+        assert!(c.swap(false, Ordering::AcqRel), "driver never dispatched shard {i}");
     }
 }
 
@@ -388,6 +404,9 @@ struct Shard {
     sent: bool,
     /// Same-timestamp batch scratch (allocation reused across windows).
     batch: Vec<Ev>,
+    /// Events handled since the last barrier, which reads and resets
+    /// the count to size the next window's fan-out.
+    popped: u64,
     stats: ShardStats,
     lat: LatencyAgg,
 }
@@ -470,6 +489,7 @@ impl Shard {
     }
 
     fn handle(&mut self, world: &World, t: u64, ev: Ev) {
+        self.popped += 1;
         match ev {
             Ev::Issue(c) => self.client_issue(world, t, c, false),
             Ev::Retry { client, op_seq } => {
@@ -979,6 +999,11 @@ pub struct ShardedSimulation {
     next_due: u64,
     /// Barrier merge scratch, pooled across exchanges.
     merge_scratch: Vec<(u64, usize, Ev)>,
+    /// Events all shards popped in the last executed window: the
+    /// predicted size of the next one (see [`FANOUT_MIN_EVENTS`]).
+    window_events: u64,
+    /// Driver claim flags, one per shard, pooled across windows.
+    claims: Vec<AtomicBool>,
     measure_start: u64,
     migrations: u64,
     /// Elastic autoscaling state (ROADMAP item 3), shared in type and
@@ -1105,6 +1130,7 @@ impl ShardedSimulation {
                 workload,
                 outbox: (0..k).map(|_| Vec::new()).collect(),
                 batch: Vec::new(),
+                popped: 0,
                 stats: ShardStats::default(),
                 lat: LatencyAgg::new(),
             });
@@ -1157,6 +1183,8 @@ impl ShardedSimulation {
             next_sample: sample,
             next_due: 0,
             merge_scratch: Vec::new(),
+            window_events: 0,
+            claims: (0..k).map(|_| AtomicBool::new(false)).collect(),
             measure_start: 0,
             migrations: 0,
             elastic: ElasticState::new(n_mds),
@@ -1219,8 +1247,12 @@ impl ShardedSimulation {
             }
             let end = (self.now_us + self.window_us).min(until_us);
             let world = &self.world;
-            let threads = self.threads;
-            for_each_shard(&mut self.shards, threads, |s| s.run_window(world, end));
+            let fan_out = self.window_events >= FANOUT_MIN_EVENTS;
+            for_each_shard(&mut self.shards, &self.claims, self.threads, fan_out, |s| {
+                s.run_window(world, end)
+            });
+            self.window_events =
+                self.shards.iter_mut().map(|s| std::mem::take(&mut s.popped)).sum();
             self.now_us = end;
             self.exchange();
             self.apply_steps(end);

@@ -360,7 +360,8 @@ where
 /// Runs `body(i)` for every index in `0..n` on the shared worker pool.
 /// The allocation-free sibling of [`parallel_for_mut`] for callers whose
 /// items live behind their own indexed storage — the sharded engine
-/// calls this once per 100µs simulation window, so even one `Vec` per
+/// calls this for each 100µs simulation window that holds enough events
+/// to fan out (it runs smaller windows inline), so even one `Vec` per
 /// call would show up in throughput.
 pub fn parallel_for_indices(n: usize, threads: Option<usize>, body: &(dyn Fn(usize) + Sync)) {
     if n == 0 {
@@ -482,6 +483,39 @@ mod tests {
             after_warmup,
             "steady-state calls must not spawn threads"
         );
+    }
+
+    #[test]
+    fn back_to_back_calls_run_every_index_once() {
+        // The sharded engine's shape: many tiny fan-outs in a row, each
+        // issued while the last call's helper may still be on its way
+        // back to the queue.
+        let n = 8;
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let calls = 100_000;
+        for _ in 0..calls {
+            parallel_for_indices(n, Some(2), &|i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        for (i, r) in runs.iter().enumerate() {
+            assert_eq!(r.load(Ordering::Relaxed), calls, "index {i}");
+        }
+    }
+
+    #[test]
+    fn call_after_workers_parked_completes() {
+        let sum = AtomicUsize::new(0);
+        parallel_for_indices(8, Some(2), &|i| {
+            sum.fetch_add(i, Ordering::Relaxed);
+        });
+        // By now the helper has parked on the condvar, so the next call
+        // must wake it (or finish inline), not find it waiting.
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        parallel_for_indices(8, Some(2), &|i| {
+            sum.fetch_add(i, Ordering::Relaxed);
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 2 * 28);
     }
 
     #[test]
