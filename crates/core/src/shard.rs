@@ -15,18 +15,26 @@
 //!   or past the next window boundary, so no shard can affect another
 //!   mid-window.
 //! * **Cross-shard queues.** All entity-to-entity messages (requests,
-//!   forwards, replies, loss notifications) go through per-destination
-//!   outboxes — even when source and destination share a shard. At each
-//!   window barrier the destination shard merges its inbound messages in
-//!   `(send_time, src_shard, outbox order)` order before scheduling, so
-//!   queue sequence numbers — and therefore the whole run — are
-//!   byte-identical for a fixed shard count.
+//!   forwards, replies, loss notifications) go through the sending
+//!   shard's one outbox, tagged with their destination shard — even
+//!   when source and destination share a shard, and at every K. At each
+//!   window barrier the shards that ran drain their outboxes in shard-id
+//!   order straight into the destination queues. That insertion order is
+//!   deterministic for a fixed K, and it is invisible across K, because
+//!   the queue orders only by time and every same-timestamp batch is
+//!   re-sorted by the canonical key below before it is handled.
+//! * **Work tracking.** The barrier keeps each shard's next pending event
+//!   time. An inline window runs only the shards with an event before
+//!   its end, the exchange drains only those, and the idle-window skip
+//!   reads the minimum of these times instead of probing every queue.
 //! * **Shard-count invariance.** The *report surface* (rendered report,
 //!   CSV fields, obs exports) is identical for any K. The argument is
 //!   that entity state evolves identically: (1) every same-timestamp
 //!   event batch is sorted by a K-independent canonical key
 //!   (event class, destination entity, source rank, per-source send
-//!   sequence) before processing; (2) every RNG draw comes from a
+//!   sequence) before processing, and events that tie on it are equal,
+//!   so neither queue insertion order nor the barrier's drain order can
+//!   show; (2) every RNG draw comes from a
 //!   per-entity stream seeded from the entity id alone, consumed in that
 //!   canonical order; (3) all follow-up delays are at least 1 µs, so a
 //!   batch never grows while it is being processed; (4) same-timestamp
@@ -70,8 +78,9 @@ use crate::report::NodeSnapshot;
 /// `i < n` (concurrently is fine), honoring the `threads` override the
 /// way the harness worker policy does. Installed once by the harness so
 /// the shard loop shares its scoped worker pool; without one, and for
-/// windows too small to pay for the hand-off, shards run serially in id
-/// order (identical results — the driver only changes wall-clock).
+/// windows too small to pay for the hand-off, the shards with work run
+/// serially in id order (identical results — the driver only changes
+/// wall-clock).
 pub type ParallelDriver = fn(usize, Option<usize>, &(dyn Fn(usize) + Sync));
 
 static DRIVER: OnceLock<ParallelDriver> = OnceLock::new();
@@ -90,28 +99,20 @@ pub fn install_parallel_driver(driver: ParallelDriver) {
 /// sweep over 16–256 events (DESIGN.md §11, "Adaptive fan-out").
 const FANOUT_MIN_EVENTS: u64 = 32;
 
-/// Runs `f` once per shard: in parallel through the installed driver
-/// when `fan_out` is set, otherwise serially in shard-id order on the
-/// calling thread (identical results — the choice only changes which
-/// thread runs a shard). `claims` holds one flag per shard, all clear on
-/// entry and on return; they turn a misbehaving driver (double dispatch)
-/// into a panic instead of two `&mut` aliases.
-fn for_each_shard(
+/// Runs `f` once per shard, in parallel through the installed driver,
+/// and returns `true`; returns `false` without running anything when no
+/// driver is installed or there is only one shard, leaving the caller to
+/// run the window inline (identical results — the choice only changes
+/// which thread runs a shard). `claims` holds one flag per shard, all
+/// clear on entry and on return; they turn a misbehaving driver (double
+/// dispatch) into a panic instead of two `&mut` aliases.
+fn fan_out(
     shards: &mut [Shard],
     claims: &[AtomicBool],
     threads: Option<usize>,
-    fan_out: bool,
     f: impl Fn(&mut Shard) + Sync,
-) {
-    let driver = match DRIVER.get() {
-        Some(driver) if fan_out && shards.len() > 1 => driver,
-        _ => {
-            for s in shards.iter_mut() {
-                f(s);
-            }
-            return;
-        }
-    };
+) -> bool {
+    let Some(driver) = DRIVER.get().filter(|_| shards.len() > 1) else { return false };
     struct Base(*mut Shard);
     unsafe impl Sync for Base {}
     impl Base {
@@ -127,6 +128,7 @@ fn for_each_shard(
     for (i, c) in claims.iter().enumerate() {
         assert!(c.swap(false, Ordering::AcqRel), "driver never dispatched shard {i}");
     }
+    true
 }
 
 fn _thread_bounds() {
@@ -143,7 +145,7 @@ fn _thread_bounds() {
 /// One sharded-engine event. Cross-entity variants carry `(src, seq)` —
 /// a sender rank plus the sender's private send counter — the
 /// K-independent part of the canonical ordering key.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum Ev {
     /// A client issues (or re-issues) its next operation.
     Issue(ClientId),
@@ -210,10 +212,11 @@ fn canonical_key(ev: &Ev) -> (u8, u64, u64, u64) {
     }
 }
 
-/// An outbox entry: the event plus its send time; delivery is at
-/// `send + net_hop`.
+/// An outbox entry: the event, its destination shard and its delivery
+/// time (send time + `net_hop`).
 struct OutMsg {
-    send: u64,
+    dst: usize,
+    at: u64,
     ev: Ev,
 }
 
@@ -390,18 +393,13 @@ struct Shard {
     proxy_lo: u16,
     proxies: Vec<ProxySt>,
     workload: Box<dyn Workload + Send>,
-    /// Outgoing messages per destination shard, drained at barriers.
-    outbox: Vec<Vec<OutMsg>>,
+    /// Shard count of the run, for mapping entities to shards.
+    k: usize,
+    /// Messages sent since the last barrier, which drains them.
+    outbox: Vec<OutMsg>,
     /// Cross-shard delivery latency, µs (== the window width): messages
     /// land at `send + hop_us`, always at or past the next barrier.
     hop_us: u64,
-    /// Single-shard run: [`Shard::send`] schedules straight into the own
-    /// queue at the delivery time, bypassing the outbox entirely.
-    direct: bool,
-    /// Whether this shard pushed any outbox message since the last
-    /// barrier — lets the barrier skip the k×k exchange scan when no
-    /// shard sent anything (the common case in sparse phases).
-    sent: bool,
     /// Same-timestamp batch scratch (allocation reused across windows).
     batch: Vec<Ev>,
     /// Events handled since the last barrier, which reads and resets
@@ -409,6 +407,12 @@ struct Shard {
     popped: u64,
     stats: ShardStats,
     lat: LatencyAgg,
+}
+
+/// A shard's next pending event time, `u64::MAX` when its queue is
+/// empty.
+fn next_time(s: &Shard) -> u64 {
+    s.queue.next_event_time().map_or(u64::MAX, |t| t.as_micros())
 }
 
 /// Shard that owns node `m` under a contiguous block partition.
@@ -479,6 +483,12 @@ impl Shard {
                         batch.push(ev);
                     }
                     batch.sort_by_key(canonical_key);
+                    debug_assert!(
+                        batch.windows(2).all(|w| {
+                            canonical_key(&w[0]) != canonical_key(&w[1]) || w[0] == w[1]
+                        }),
+                        "distinct same-time events tie on the canonical key"
+                    );
                     for ev in batch.drain(..) {
                         self.handle(world, t, ev);
                     }
@@ -513,19 +523,8 @@ impl Shard {
         }
     }
 
-    fn send(&mut self, dst_shard: usize, send: u64, ev: Ev) {
-        if self.direct {
-            // One shard: the "cross-shard" message can go straight into
-            // the own queue at its delivery time. The delivery lands at
-            // or past the window end (hop == window width), so it never
-            // fires intra-window, and pops order strictly by (time, seq)
-            // with same-time batches canonically sorted — byte-identical
-            // to the merge-at-barrier path.
-            self.queue.schedule(SimTime::from_micros(send + self.hop_us), ev);
-        } else {
-            self.outbox[dst_shard].push(OutMsg { send, ev });
-            self.sent = true;
-        }
+    fn send(&mut self, dst: usize, send: u64, ev: Ev) {
+        self.outbox.push(OutMsg { dst, at: send + self.hop_us, ev });
     }
 
     fn think_delay(rng: &mut SimRng, mean_us: f64) -> u64 {
@@ -543,7 +542,7 @@ impl Shard {
     // --- client side --------------------------------------------------
 
     fn client_issue(&mut self, world: &World, t: u64, c: ClientId, retrying: bool) {
-        let k = self.outbox.len();
+        let k = self.k;
         let n_mds = self.cfg.n_mds;
         let think_us = self.think_mean_us(t);
         let leases_on = self.cfg.client_leases;
@@ -734,7 +733,7 @@ impl Shard {
         write: bool,
         hop: u8,
     ) {
-        let k = self.outbox.len();
+        let k = self.k;
         let n_mds = self.cfg.n_mds as usize;
         let n_clients = self.cfg.n_clients;
         let cpu = self.cfg.costs.cpu_per_op;
@@ -879,7 +878,7 @@ impl Shard {
         item: InodeId,
         write: bool,
     ) {
-        let k = self.outbox.len();
+        let k = self.k;
         let n_mds = self.cfg.n_mds as usize;
         let client_shard = shard_of_client(client.0, self.cfg.n_clients, k);
         let cpu = self.cfg.proxy.proxy_cpu_us.max(1);
@@ -997,8 +996,10 @@ pub struct ShardedSimulation {
     /// schedules above, and the idle-window skip uses it as the global
     /// step bound.
     next_due: u64,
-    /// Barrier merge scratch, pooled across exchanges.
-    merge_scratch: Vec<(u64, usize, Ev)>,
+    /// Each shard's next pending event time (`u64::MAX` when its queue
+    /// is empty), exact at every barrier: whatever schedules into a
+    /// queue outside its own window lowers the entry.
+    next_at: Vec<u64>,
     /// Events all shards popped in the last executed window: the
     /// predicted size of the next one (see [`FANOUT_MIN_EVENTS`]).
     window_events: u64,
@@ -1119,8 +1120,6 @@ impl ShardedSimulation {
                 partition: Partition::initial(cfg.strategy, &snapshot.ns, cfg.n_mds),
                 cfg: cfg.clone(),
                 hop_us: window_us,
-                direct: k == 1,
-                sent: false,
                 node_lo,
                 nodes,
                 client_lo,
@@ -1128,7 +1127,8 @@ impl ShardedSimulation {
                 proxy_lo,
                 proxies,
                 workload,
-                outbox: (0..k).map(|_| Vec::new()).collect(),
+                k,
+                outbox: Vec::new(),
                 batch: Vec::new(),
                 popped: 0,
                 stats: ShardStats::default(),
@@ -1173,7 +1173,6 @@ impl ShardedSimulation {
                 replicated: FxHashSet::default(),
                 proxy_hot: FxHashSet::default(),
             },
-            shards: shard_vec,
             threads,
             window_us,
             now_us: 0,
@@ -1182,7 +1181,8 @@ impl ShardedSimulation {
             next_heartbeat: heartbeat,
             next_sample: sample,
             next_due: 0,
-            merge_scratch: Vec::new(),
+            next_at: shard_vec.iter().map(next_time).collect(),
+            shards: shard_vec,
             window_events: 0,
             claims: (0..k).map(|_| AtomicBool::new(false)).collect(),
             measure_start: 0,
@@ -1245,27 +1245,36 @@ impl ShardedSimulation {
                     break;
                 }
             }
+            debug_assert!(
+                self.shards.iter().map(next_time).eq(self.next_at.iter().copied()),
+                "tracked next event times disagree with the shard queues"
+            );
             let end = (self.now_us + self.window_us).min(until_us);
             let world = &self.world;
-            let fan_out = self.window_events >= FANOUT_MIN_EVENTS;
-            for_each_shard(&mut self.shards, &self.claims, self.threads, fan_out, |s| {
-                s.run_window(world, end)
-            });
-            self.window_events =
-                self.shards.iter_mut().map(|s| std::mem::take(&mut s.popped)).sum();
+            let fanned = self.window_events >= FANOUT_MIN_EVENTS
+                && fan_out(&mut self.shards, &self.claims, self.threads, |s| {
+                    s.run_window(world, end)
+                });
+            if !fanned {
+                for (s, &t) in self.shards.iter_mut().zip(&self.next_at) {
+                    if t < end {
+                        s.run_window(world, end);
+                    }
+                }
+            }
             self.now_us = end;
-            self.exchange();
+            self.window_events = self.exchange(end);
             self.apply_steps(end);
         }
     }
 
     /// From a barrier, jumps `now_us` forward over windows that would
-    /// execute nothing: let `t_min` be the minimum over every shard's
-    /// next live event time and the next-due calendar step. Every window
-    /// strictly before the one containing `t_min` pops no event and its
-    /// barrier applies no step (outboxes are empty at barriers, so there
-    /// are no in-flight deliveries to account for) — running those
-    /// windows densely would be a pure no-op, so the jump lands on the
+    /// execute nothing: let `t_min` be the minimum over the tracked
+    /// per-shard next event times and the next-due calendar step. Every
+    /// window strictly before the one containing `t_min` pops no event
+    /// and its barrier applies no step (outboxes are empty at barriers,
+    /// so there are no in-flight deliveries to account for) — running
+    /// those windows densely would be a pure no-op, so the jump lands on the
     /// grid barrier `⌊(t_min − now) / w⌋·w` with identical state. When
     /// nothing is due before `until_us`, time jumps to the final barrier
     /// and its steps (due exactly at `until_us`, as in a dense run)
@@ -1273,12 +1282,7 @@ impl ShardedSimulation {
     /// calendar, both shard-count-invariant at barriers, so every K
     /// takes the same jumps.
     fn skip_idle_windows(&mut self, until_us: u64) {
-        let mut t_min = self.next_due;
-        for s in &self.shards {
-            if let Some(t) = s.queue.next_event_time() {
-                t_min = t_min.min(t.as_micros());
-            }
-        }
+        let t_min = self.next_at.iter().fold(self.next_due, |a, &t| a.min(t));
         if t_min < self.now_us + self.window_us {
             return; // something due in the current window: no skip
         }
@@ -1292,40 +1296,30 @@ impl ShardedSimulation {
         self.apply_steps(barrier);
     }
 
-    /// Barrier message exchange: each destination merges its inbound
-    /// messages in `(send_time, src_shard, outbox order)` and schedules
-    /// them at `send + net_hop`. Merge scratch and outbox buffers are
-    /// pooled across barriers, and barriers where no shard sent anything
-    /// skip the k×k scan entirely.
-    fn exchange(&mut self) {
-        let k = self.shards.len();
-        if k == 1 {
-            return; // Shard::send went direct; outboxes stay empty
-        }
-        if !self.shards.iter().any(|s| s.sent) {
-            return;
-        }
-        for s in &mut self.shards {
-            s.sent = false;
-        }
-        let hop = self.window_us;
-        let mut merged = std::mem::take(&mut self.merge_scratch);
-        for dst in 0..k {
-            merged.clear();
-            for src in 0..k {
-                // drain (not take) keeps the outbox allocation alive.
-                merged.extend(self.shards[src].outbox[dst].drain(..).map(|m| (m.send, src, m.ev)));
-            }
-            if merged.is_empty() {
+    /// Barrier message exchange after the window ending at `end`: every
+    /// shard that had an event before `end` (the only ones that can have
+    /// popped or sent anything) drains its outbox, in shard-id order,
+    /// straight into the destination queues, then re-reads its own next
+    /// event time. Deliveries land at or past `end`, so lowering a
+    /// destination's entry to one never changes which shards ran.
+    /// Returns the events the window popped.
+    fn exchange(&mut self, end: u64) -> u64 {
+        let mut popped = 0;
+        for src in 0..self.shards.len() {
+            if self.next_at[src] >= end {
                 continue;
             }
-            merged.sort_by_key(|(send, src, _)| (*send, *src)); // stable
-            let q = &mut self.shards[dst].queue;
-            for (send, _, ev) in merged.drain(..) {
-                q.schedule(SimTime::from_micros(send + hop), ev);
+            popped += std::mem::take(&mut self.shards[src].popped);
+            // take-and-restore keeps the outbox allocation alive.
+            let mut outbox = std::mem::take(&mut self.shards[src].outbox);
+            for m in outbox.drain(..) {
+                self.shards[m.dst].queue.schedule(SimTime::from_micros(m.at), m.ev);
+                self.next_at[m.dst] = self.next_at[m.dst].min(m.at);
             }
+            self.shards[src].outbox = outbox;
+            self.next_at[src] = next_time(&self.shards[src]);
         }
-        self.merge_scratch = merged;
+        popped
     }
 
     /// Recomputes the next-due-step calendar after anything that moves
@@ -1555,6 +1549,7 @@ impl ShardedSimulation {
                         SimTime::from_micros(at + hop),
                         Ev::Coalesced { node: auth, item, delta, src: proxy_rank(p), seq },
                     );
+                    self.next_at[dst] = self.next_at[dst].min(at + hop);
                 }
             }
         }

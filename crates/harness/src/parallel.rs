@@ -141,10 +141,10 @@ impl Job {
     }
 }
 
-/// The process-wide pool: a ticket queue plus parked worker threads.
-/// Workers are spawned on demand up to the largest helper count any call
-/// has asked for, then parked on the condvar between jobs — never
-/// respawned, never exited.
+/// A ticket queue plus parked worker threads. Workers are spawned on
+/// demand up to the largest helper count any call has asked for, then
+/// parked on the condvar between jobs — never respawned, never exited.
+/// Every public entry point runs on the one process-wide [`pool`].
 struct WorkerPool {
     queue: Mutex<VecDeque<Arc<Job>>>,
     wake: Condvar,
@@ -153,14 +153,18 @@ struct WorkerPool {
 
 fn pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool {
-        queue: Mutex::new(VecDeque::new()),
-        wake: Condvar::new(),
-        spawned: AtomicUsize::new(0),
-    })
+    POOL.get_or_init(WorkerPool::new)
 }
 
 impl WorkerPool {
+    fn new() -> Self {
+        WorkerPool {
+            queue: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
+            spawned: AtomicUsize::new(0),
+        }
+    }
+
     /// Grows the pool to at least `want` parked workers.
     fn ensure_workers(&'static self, want: usize) {
         while self.spawned.load(Ordering::Relaxed) < want {
@@ -193,15 +197,14 @@ impl WorkerPool {
     }
 }
 
-/// Runs `body` on the calling thread plus up to `helpers` pool workers,
-/// returning once every execution of `body` has finished. `body` is
+/// Runs `body` on the calling thread plus up to `helpers` workers of
+/// `pool`, returning once every execution of `body` has finished. `body` is
 /// typically a claim-loop over a shared atomic counter, so however many
 /// workers actually show up, each item runs exactly once. Helper tickets
 /// still queued when the caller finishes are cancelled rather than
 /// waited for — that is what makes nested calls deadlock-free even when
 /// every worker is busy.
-fn scoped(helpers: usize, body: &(dyn Fn() + Sync)) {
-    let pool = pool();
+fn scoped(pool: &'static WorkerPool, helpers: usize, body: &(dyn Fn() + Sync)) {
     pool.ensure_workers(helpers);
     // Erase the borrow lifetime; see `Job` for the safety argument.
     let body_static: *const (dyn Fn() + Sync) =
@@ -268,6 +271,16 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    map_on(pool(), items, threads, f)
+}
+
+/// [`parallel_map_threads`] on a given pool.
+fn map_on<T, R, F>(pool: &'static WorkerPool, items: &[T], threads: Option<usize>, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
     let n = items.len();
     if n == 0 {
         return Vec::new();
@@ -285,7 +298,7 @@ where
     // uninitialized memory: we only assume all slots on full completion.
     let filled = AtomicUsize::new(0);
 
-    scoped(workers - 1, &|| loop {
+    scoped(pool, workers - 1, &|| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
@@ -330,6 +343,15 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
+    for_mut_on(pool(), items, threads, f)
+}
+
+/// [`parallel_for_mut`] on a given pool.
+fn for_mut_on<T, F>(pool: &'static WorkerPool, items: &mut [T], threads: Option<usize>, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
     let n = items.len();
     if n == 0 {
         return;
@@ -344,7 +366,7 @@ where
 
     let next = AtomicUsize::new(0);
     let base = SharedMut(items.as_mut_ptr());
-    scoped(workers - 1, &|| loop {
+    scoped(pool, workers - 1, &|| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
@@ -375,7 +397,7 @@ pub fn parallel_for_indices(n: usize, threads: Option<usize>, body: &(dyn Fn(usi
         return;
     }
     let next = AtomicUsize::new(0);
-    scoped(workers - 1, &|| loop {
+    scoped(pool(), workers - 1, &|| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
@@ -465,21 +487,24 @@ mod tests {
 
     #[test]
     fn idle_steady_state_spawns_no_new_threads() {
+        // A private pool: other tests in this binary grow the
+        // process-wide one concurrently, which must not count here.
+        let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool::new()));
         let items: Vec<u64> = (0..32).collect();
         // Warm the pool to (at least) three helpers.
-        let _ = parallel_map_threads(&items, Some(4), |&x| x);
-        let after_warmup = pool().threads_spawned();
+        let _ = map_on(pool, &items, Some(4), |&x| x);
+        let after_warmup = pool.threads_spawned();
         assert!(after_warmup >= 3, "warm-up grew the pool to {after_warmup}");
         // A shard-loop-shaped usage pattern: many small fan-outs. The
         // pool must recycle its parked workers, not spawn per call.
         for round in 0..200 {
-            let out = parallel_map_threads(&items, Some(4), |&x| x + round);
+            let out = map_on(pool, &items, Some(4), |&x| x + round);
             assert_eq!(out[0], round);
             let mut shards: Vec<u64> = (0..4).collect();
-            parallel_for_mut(&mut shards, Some(4), |_, s| *s += 1);
+            for_mut_on(pool, &mut shards, Some(4), |_, s| *s += 1);
         }
         assert_eq!(
-            pool().threads_spawned(),
+            pool.threads_spawned(),
             after_warmup,
             "steady-state calls must not spawn threads"
         );

@@ -129,7 +129,7 @@ fn report_and_obs_are_invariant_across_shard_counts_under_faults() {
 
 #[test]
 fn every_strategy_is_shard_count_invariant() {
-    // The canonical merge order may not depend on strategy-specific
+    // The canonical event order may not depend on strategy-specific
     // routing (hashed placement, forwards, replicas), so sweep them all
     // fault-free at the K extremes.
     for strategy in StrategyKind::ALL {
@@ -153,58 +153,102 @@ fn idle_window_skip_is_invisible_for_every_shard_count() {
     //   fault churn — crash/recover/churn/disk/net events land via the
     //                barrier-global step calendar mid-gap;
     //   elastic    — the autoscaling controller acts on heartbeat steps
-    //                that the skip must not jump past.
+    //                that the skip must not jump past;
+    //   proxy flush — the heartbeat flush schedules coalesced write
+    //                deltas straight into shard queues that hold nothing
+    //                due sooner, so the barrier's tracked next event
+    //                times must pick them up (K=3 adds uneven node
+    //                blocks).
     struct Case {
         label: &'static str,
         strategy: StrategyKind,
         faults: bool,
+        proxies: u16,
         think: SimDuration,
         warmup: SimDuration,
         measure: SimDuration,
+        shards: &'static [usize],
     }
     let cases = [
         Case {
             label: "tie storm",
             strategy: StrategyKind::DynamicSubtree,
             faults: false,
+            proxies: 0,
             think: SimDuration::from_micros(10),
             warmup: SimDuration::from_millis(200),
             measure: SimDuration::from_millis(500),
+            shards: &[1, 2, 4],
         },
         Case {
             label: "long gaps",
             strategy: StrategyKind::DynamicSubtree,
             faults: false,
+            proxies: 0,
             think: SimDuration::from_millis(200),
             warmup: SimDuration::from_secs(2),
             measure: SimDuration::from_secs(7),
+            shards: &[1, 2, 4],
         },
         Case {
             label: "fault churn",
             strategy: StrategyKind::DynamicSubtree,
             faults: true,
+            proxies: 0,
             think: SimDuration::from_millis(1),
             warmup: SimDuration::from_secs(2),
             measure: SimDuration::from_secs(7),
+            shards: &[1, 2, 4],
         },
         Case {
             label: "elastic",
             strategy: StrategyKind::ElasticSubtree,
             faults: false,
+            proxies: 0,
             think: SimDuration::from_millis(20),
             warmup: SimDuration::from_secs(2),
             measure: SimDuration::from_secs(7),
+            shards: &[1, 2, 4],
+        },
+        Case {
+            label: "proxy flush",
+            strategy: StrategyKind::DynamicSubtree,
+            faults: false,
+            proxies: 2,
+            think: SimDuration::from_millis(20),
+            warmup: SimDuration::from_secs(2),
+            measure: SimDuration::from_secs(7),
+            shards: &[1, 2, 3, 4],
         },
     ];
     for case in &cases {
-        for k in [1usize, 2, 4] {
+        let mut base = None;
+        for &k in case.shards {
             let mut skip = config(case.strategy, 99, case.faults);
             skip.costs.think_mean = case.think;
+            if case.proxies > 0 {
+                // A low bar and a fast heartbeat, so that the general
+                // mix's writes reach the proxies and many heartbeats
+                // have deltas to flush.
+                skip.proxy.count = case.proxies;
+                skip.proxy.hot_threshold = 1.0;
+                skip.heartbeat = SimDuration::from_millis(250);
+            }
             let mut dense = skip.clone();
             dense.force_dense = true;
             let a = run_span(skip, k, None, case.warmup, case.measure, None);
             let b = run_span(dense, k, None, case.warmup, case.measure, None);
             assert_eq!(a, b, "{}: skip vs force-dense surfaces differ at {k} shards", case.label);
+            if case.proxies > 0 {
+                assert!(
+                    !a.0.contains(" flushed 0 "),
+                    "{}: nothing was flushed: {}",
+                    case.label,
+                    a.0
+                );
+            }
+            let base = base.get_or_insert_with(|| a.clone());
+            assert_eq!(*base, a, "{}: surface differs at {k} shards", case.label);
         }
     }
 }
